@@ -112,6 +112,8 @@ func BenchmarkStoreOutInp(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreRdpDenseBucket reads with a formal key field from one
+// dense tag class: the path the key-field index does not narrow.
 func BenchmarkStoreRdpDenseBucket(b *testing.B) {
 	s := store.New()
 	defer s.Close()
@@ -124,6 +126,54 @@ func BenchmarkStoreRdpDenseBucket(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok := s.Rdp(p); !ok {
 			b.Fatal("miss")
+		}
+	}
+}
+
+// keyedStore holds n ("rec", key, 64 B) tuples, the resident set of the
+// lookup workload, and returns one keyed template per tuple.
+func keyedStore(b *testing.B, n int) (*store.Store, []tuple.Template) {
+	s := store.New()
+	tmpls := make([]tuple.Template, n)
+	payload := make([]byte, 64)
+	for i := range tmpls {
+		k := tuple.Int(int64(i) * 2654435761)
+		if _, err := s.Out(tuple.T(tuple.String("rec"), k, tuple.Bytes(payload)), time.Time{}); err != nil {
+			b.Fatal(err)
+		}
+		tmpls[i] = tuple.Tmpl(tuple.String("rec"), k, tuple.FormalBytes())
+	}
+	return s, tmpls
+}
+
+// BenchmarkStoreRdpKeyed reads by an actual key field among 4096 resident
+// tuples of one tag class: the key-field index walks one chain.
+func BenchmarkStoreRdpKeyed(b *testing.B) {
+	s, tmpls := keyedStore(b, 4096)
+	defer s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.Rdp(tmpls[(i*7+13)%len(tmpls)]); !ok {
+			b.Fatal("miss")
+		}
+	}
+}
+
+// BenchmarkStoreInpOutKeyed takes a tuple by key among 4096 resident ones
+// and puts it back, keeping the resident set fixed.
+func BenchmarkStoreInpOutKeyed(b *testing.B) {
+	s, tmpls := keyedStore(b, 4096)
+	defer s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t, ok := s.Inp(tmpls[(i*7+13)%len(tmpls)])
+		if !ok {
+			b.Fatal("miss")
+		}
+		if _, err := s.Out(t, time.Time{}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

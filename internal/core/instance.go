@@ -347,13 +347,13 @@ type Instance struct {
 	// accept and reinstate a taken tuple.
 	accepted      map[acceptKey]bool
 	acceptedOrder []acceptKey // FIFO eviction order for accepted
-	// Out-lease bookkeeping in both directions: a removed tuple releases
-	// its lease immediately (removal hook), and a revoked lease drops its
-	// tuple (OnRevoke).
-	outBySid   map[uint64]*lease.Lease // store tuple id -> out lease
-	sidByLease map[uint64]uint64       // lease ID -> store tuple id
-	evals      map[string]EvalFunc
-	relays     []wire.Addr
+	// outBySid maps a stored tuple's id to its out lease: a removed tuple
+	// releases its lease immediately (removal hook). A revoked lease drops
+	// its tuple (OnRevoke), found by scanning this map: revocation is the
+	// last rung of the escalation ladder, so it is too rare to index.
+	outBySid map[uint64]*lease.Lease
+	evals    map[string]EvalFunc
+	relays   []wire.Addr
 	// defReq is the requester used when an operation passes nil: built
 	// once so the nil-requester hot path does not re-box a closure pair
 	// per grant.
@@ -440,7 +440,6 @@ func New(cfg Config) (*Instance, error) {
 		served:      make(map[waitKey]servedReply),
 		accepted:    make(map[acceptKey]bool),
 		outBySid:    make(map[uint64]*lease.Lease),
-		sidByLease:  make(map[uint64]uint64),
 		evals:       make(map[string]EvalFunc),
 		relays:      append([]wire.Addr(nil), cfg.Relays...),
 		suspect:     make(map[wire.Addr]time.Time),
@@ -465,9 +464,15 @@ func New(cfg Config) (*Instance, error) {
 	// Revoked out-leases drop their tuples (last-resort reclamation).
 	i.mgr.OnRevoke(func(l *lease.Lease) {
 		i.mu.Lock()
-		sid, ok := i.sidByLease[l.ID()]
-		delete(i.sidByLease, l.ID())
-		delete(i.outBySid, sid)
+		var sid uint64
+		ok := false
+		for s, ol := range i.outBySid {
+			if ol == l {
+				sid, ok = s, true
+				delete(i.outBySid, s)
+				break
+			}
+		}
 		i.mu.Unlock()
 		if ok {
 			i.local.Remove(sid)
@@ -971,7 +976,6 @@ func (i *Instance) releaseOutLease(sid uint64) {
 	lse, ok := i.outBySid[sid]
 	if ok {
 		delete(i.outBySid, sid)
-		delete(i.sidByLease, lse.ID())
 	}
 	i.mu.Unlock()
 	if ok {
@@ -989,7 +993,6 @@ func (i *Instance) trackOutLease(sid uint64, lse *lease.Lease) {
 	i.mu.Lock()
 	if !i.closed {
 		i.outBySid[sid] = lse
-		i.sidByLease[lse.ID()] = sid
 	}
 	i.mu.Unlock()
 }

@@ -1071,11 +1071,13 @@ func (i *Instance) repairSweep() {
 			continue
 		}
 		// The origin is dead, so it no longer counts toward R: the live
-		// replica set is the ring's first R placements outright (the
-		// probe above evicts the origin, so it drops out of Place as the
-		// membership converges). Ranking self out of the chain would
-		// otherwise leave a copy whose only live holder is this node.
-		chain := ring.Place(ad.c.tag, ad.c.arity, r.n)
+		// replica set is the ring's first R placements outright. The ring
+		// is re-read here, after the probe above evicted the origin; the
+		// one taken at the top of the sweep may still place the origin
+		// and leave its copy on this node alone until the next sweep.
+		// Ranking self out of the chain would likewise leave a copy whose
+		// only live holder is this node.
+		chain := r.ringNow().Place(ad.c.tag, ad.c.arity, r.n)
 		for _, a := range chain {
 			if a == i.Addr() || a == ad.origin {
 				continue

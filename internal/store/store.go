@@ -17,6 +17,20 @@
 //     (a string-lead tuple can never match such a template)
 //   - first field is a formal/Any      → all shards
 //
+// # Key-field index
+//
+// Within a shard, entries live in one bucket per (arity, tag) key; the
+// scan shard keys its buckets by arity alone. A bucket chains its entries
+// by the hash of their key field: field 1 in tag shards (field 0 is the
+// tag the whole bucket shares) and field 0 in the scan shard. A template
+// whose key field is an actual walks the one chain its value hashes to; a
+// formal or Any there walks every chain of the bucket, and a formal-lead
+// template walks the same-arity buckets of every shard. Every candidate
+// is still checked with Matches, so hash collisions cost time, never
+// correctness. At most 32 live matches are collected and one is chosen
+// at random: Linda only asks that some match be chosen
+// nondeterministically, and the cap keeps dense buckets cheap.
+//
 // Blocking waiters are indexed by (arity, tag) within their shard, so an
 // Out wakes only plausible matches instead of scanning every same-arity
 // waiter. Waiters for formal-lead templates go on a small global list
@@ -89,13 +103,30 @@ type shard struct {
 	nextSeq uint64 // per-shard entry counter; id = seq<<shardBits | idx
 	bytes   int64  // live footprint, maintained incrementally
 	byID    map[uint64]*entry
-	byArity map[int]map[uint64]*entry
-	byTag   map[tagKey]map[uint64]*entry
-	// waiters indexes blocking interest by (arity, tag). Tag shards key
-	// by the full tag; the scan shard keys by arity alone (tag "").
+	// buckets and waiters are keyed by (arity, tag). Tag shards key by
+	// the full tag; the scan shard keys by arity alone (tag "").
+	buckets map[tagKey]chains
 	waiters map[tagKey][]*waiter
 	expiry  expiryHeap
 	stopJan func() bool // pending janitor timer
+	janAt   time.Time   // when the pending janitor timer fires
+	scan    bool        // the scan shard
+}
+
+// chains is one bucket of the key-field index: it maps a key-field hash
+// to the head of that key's chain, a circular doubly linked list of
+// entries. Emptied buckets are kept: a hot out→in cycle on one tag class
+// would otherwise free and reallocate its bucket on every pair, and
+// workloads keep tag sets small, so retention is cheaper than churn.
+type chains map[uint64]*entry
+
+// keyField is the field whose hash chains a bucket's entries (see the
+// package doc).
+func (sh *shard) keyField() int {
+	if sh.scan {
+		return 0
+	}
+	return 1
 }
 
 // tagKey identifies a (arity, leading string tag) index bucket.
@@ -134,23 +165,6 @@ func tagOfTuple(t tuple.Tuple) (tagKey, bool) {
 	return tagKey{arity: t.Arity(), tag: s}, true
 }
 
-// tagOfTemplate returns the index key a template can be served from: its
-// first field must be an actual string.
-func tagOfTemplate(p tuple.Template) (tagKey, bool) {
-	if p.Arity() == 0 {
-		return tagKey{}, false
-	}
-	f, err := p.Field(0)
-	if err != nil {
-		return tagKey{}, false
-	}
-	s, ok := f.StringValue()
-	if !ok {
-		return tagKey{}, false
-	}
-	return tagKey{arity: p.Arity(), tag: s}, true
-}
-
 // Template routing classes (see package doc).
 const (
 	classPinned = iota // one tag shard
@@ -158,8 +172,9 @@ const (
 	classGlobal        // all shards
 )
 
-// classify routes a template: the bucket key it waits under (pinned and
-// scan classes) and which shards its matches can live in.
+// classify routes a template: the bucket key it is served from and waits
+// under, and which shards its matches can live in. A formal-lead
+// template's key is its arity alone, the key of its scan-shard bucket.
 func classify(p tuple.Template) (tagKey, int) {
 	if p.Arity() == 0 {
 		return tagKey{}, classScan
@@ -169,7 +184,7 @@ func classify(p tuple.Template) (tagKey, int) {
 		return tagKey{}, classScan
 	}
 	if f.Formal() {
-		return tagKey{}, classGlobal
+		return tagKey{arity: p.Arity()}, classGlobal
 	}
 	if s, ok := f.StringValue(); ok {
 		return tagKey{arity: p.Arity(), tag: s}, classPinned
@@ -178,21 +193,16 @@ func classify(p tuple.Template) (tagKey, int) {
 	return tagKey{arity: p.Arity()}, classScan
 }
 
-// waiterKeyOfTuple is the bucket an Out of t must wake: the tuple's tag
-// key in a tag shard, the arity-only key in the scan shard.
-func waiterKeyOfTuple(t tuple.Tuple) (tagKey, *shard, bool) {
-	if tk, ok := tagOfTuple(t); ok {
-		return tk, nil, true
-	}
-	return tagKey{arity: t.Arity()}, nil, false
-}
-
 type entry struct {
 	id     uint64
 	t      tuple.Tuple
-	size   int64     // cached t.Size() for byte accounting
 	expiry time.Time // zero = never
 	index  int       // position in expiry heap, -1 if absent
+	// key is the hash of the key field; prev and next link the entry into
+	// that key's chain in bucket b.
+	key        uint64
+	b          chains
+	prev, next *entry
 }
 
 // waiter is a one-shot blocking interest. claimed settles the race
@@ -287,9 +297,9 @@ func New(opts ...Option) *Store {
 			idx:     uint64(i),
 			rng:     rand.New(rand.NewSource(s.seed + int64(i)*7919)),
 			byID:    make(map[uint64]*entry),
-			byArity: make(map[int]map[uint64]*entry),
-			byTag:   make(map[tagKey]map[uint64]*entry),
+			buckets: make(map[tagKey]chains),
 			waiters: make(map[tagKey][]*waiter),
+			scan:    i == s.nTagShards,
 		}
 	}
 	return s
@@ -297,11 +307,12 @@ func New(opts ...Option) *Store {
 
 // Out implements space.Space.
 func (s *Store) Out(t tuple.Tuple, expiry time.Time) (uint64, error) {
-	key, _, tagged := waiterKeyOfTuple(t)
+	key, tagged := tagOfTuple(t)
 	var sh *shard
 	if tagged {
 		sh = s.shardOf(key)
 	} else {
+		key = tagKey{arity: t.Arity()}
 		sh = s.scanShard()
 	}
 	sh.mu.Lock()
@@ -315,7 +326,7 @@ func (s *Store) Out(t tuple.Tuple, expiry time.Time) (uint64, error) {
 		s.met.Inc(trace.CtrTuplesTaken)
 		return 0, nil
 	}
-	id := sh.insertLocked(t, expiry)
+	id := sh.insertLocked(t, key, expiry)
 	sh.mu.Unlock()
 	s.met.Inc(trace.CtrTuplesStored)
 	return id, nil
@@ -426,91 +437,141 @@ func (sh *shard) setWaitersLocked(key tagKey, ws []*waiter) {
 	sh.waiters[key] = ws
 }
 
-// insertLocked stores t and returns its id. Caller holds sh.mu.
-func (sh *shard) insertLocked(t tuple.Tuple, expiry time.Time) uint64 {
+// insertLocked stores t in bucket key and returns its id. Caller holds
+// sh.mu.
+func (sh *shard) insertLocked(t tuple.Tuple, key tagKey, expiry time.Time) uint64 {
 	sh.nextSeq++
 	id := sh.nextSeq<<sh.st.shardBits | sh.idx
-	e := &entry{id: id, t: t, size: t.Size(), expiry: expiry, index: -1}
+	b := sh.buckets[key]
+	if b == nil {
+		b = make(chains)
+		sh.buckets[key] = b
+	}
+	// A bucket's tuples share one arity, so either all have the key field
+	// or all hash as 0.
+	h, _ := t.FieldHash(sh.keyField())
+	e := &entry{id: id, t: t, expiry: expiry, index: -1, key: h, b: b}
+	if head := b[h]; head == nil {
+		e.prev, e.next = e, e
+		b[h] = e
+	} else {
+		// Append at the tail: the head stays the oldest entry.
+		e.prev, e.next = head.prev, head
+		head.prev.next = e
+		head.prev = e
+	}
 	sh.byID[id] = e
-	bucket := sh.byArity[t.Arity()]
-	if bucket == nil {
-		bucket = make(map[uint64]*entry)
-		sh.byArity[t.Arity()] = bucket
-	}
-	bucket[id] = e
-	if tk, ok := tagOfTuple(t); ok {
-		tb := sh.byTag[tk]
-		if tb == nil {
-			tb = make(map[uint64]*entry)
-			sh.byTag[tk] = tb
-		}
-		tb[id] = e
-	}
-	sh.bytes += e.size
+	sh.bytes += t.Size()
 	if !expiry.IsZero() {
 		heap.Push(&sh.expiry, e)
-		sh.scheduleJanitorLocked()
+		sh.armJanitorLocked()
 	}
 	return id
+}
+
+// maxCandidates caps the live matches a pick collects (see package doc).
+const maxCandidates = 32
+
+// picker collects live matches of p, up to maxCandidates, for one
+// random choice.
+type picker struct {
+	p   tuple.Template
+	clk clock.Clock
+	now time.Time // read at the first candidate that can expire
+	n   int
+	c   [maxCandidates]*entry
+}
+
+// bucket offers the entries of b that p's key field admits, given the
+// shard's key field k. It reports whether the candidate set is full.
+func (pk *picker) bucket(b chains, k int) bool {
+	if len(b) == 0 {
+		return false
+	}
+	h, ok := uint64(0), true
+	if k < pk.p.Arity() {
+		// Past the arity there is no key field: every entry hashes as 0.
+		h, ok = pk.p.FieldHash(k)
+	}
+	if ok {
+		head := b[h]
+		return head != nil && pk.chain(b, head)
+	}
+	for _, head := range b {
+		if pk.chain(b, head) {
+			return true
+		}
+	}
+	return false
+}
+
+// chain offers the chain starting at head. When the candidate set fills,
+// the chain's next walk starts after the window this one sampled, so a
+// long run of same-key entries cannot starve its tail.
+func (pk *picker) chain(b chains, head *entry) bool {
+	for e := head; ; {
+		if pk.live(e) && pk.p.Matches(e.t) {
+			pk.c[pk.n] = e
+			pk.n++
+			if pk.n == maxCandidates {
+				b[e.key] = e.next
+				return true
+			}
+		}
+		if e = e.next; e == head {
+			return false
+		}
+	}
+}
+
+// live reports whether e has not expired (it may await the janitor).
+func (pk *picker) live(e *entry) bool {
+	if e.expiry.IsZero() {
+		return true
+	}
+	if pk.now.IsZero() {
+		pk.now = pk.clk.Now()
+	}
+	return e.expiry.After(pk.now)
 }
 
 // pickLocked chooses a matching live entry nondeterministically, or nil.
 // Caller holds sh.mu.
 func (sh *shard) pickLocked(p tuple.Template) *entry {
-	var bucket map[uint64]*entry
-	if tk, ok := tagOfTemplate(p); ok {
-		// Tag-pinned templates scan only same-tag candidates.
-		bucket = sh.byTag[tk]
-	} else {
-		bucket = sh.byArity[p.Arity()]
-	}
-	if len(bucket) == 0 {
-		return nil
-	}
-	now := sh.st.clk.Now()
-	// Collect a bounded candidate set: Linda only requires that one
-	// match be selected nondeterministically, and Go's randomised map
-	// iteration varies which region of the bucket we sample, so capping
-	// the scan keeps dense buckets O(1) without biasing selection to a
-	// fixed tuple.
-	const maxCandidates = 32
-	matches := make([]*entry, 0, 8)
-	for _, e := range bucket {
-		if !e.expiry.IsZero() && !e.expiry.After(now) {
-			continue // expired but not yet reclaimed
-		}
-		if p.Matches(e.t) {
-			matches = append(matches, e)
-			if len(matches) >= maxCandidates {
+	pk := picker{p: p, clk: sh.st.clk}
+	key, class := classify(p)
+	kf := sh.keyField()
+	if class == classGlobal && !sh.scan {
+		for k, b := range sh.buckets {
+			if k.arity == key.arity && pk.bucket(b, kf) {
 				break
 			}
 		}
+	} else {
+		pk.bucket(sh.buckets[key], kf)
 	}
-	if len(matches) == 0 {
+	switch pk.n {
+	case 0:
 		return nil
+	case 1:
+		return pk.c[0]
 	}
-	if len(matches) == 1 {
-		return matches[0]
-	}
-	return matches[sh.rng.Intn(len(matches))]
+	return pk.c[sh.rng.Intn(pk.n)]
 }
 
-// removeLocked unlinks e from every index. Emptied buckets are kept: a
-// hot out→in cycle on one tag class would otherwise free and reallocate
-// its bucket maps on every pair, and an empty map costs ~48 bytes per
-// tag class ever seen — workloads keep tag sets small, so retention is
-// cheaper than churn.
+// removeLocked unlinks e from every index. Caller holds sh.mu.
 func (sh *shard) removeLocked(e *entry) {
 	delete(sh.byID, e.id)
-	if bucket := sh.byArity[e.t.Arity()]; bucket != nil {
-		delete(bucket, e.id)
-	}
-	if tk, ok := tagOfTuple(e.t); ok {
-		if tb := sh.byTag[tk]; tb != nil {
-			delete(tb, e.id)
+	if e.next == e {
+		delete(e.b, e.key)
+	} else {
+		e.prev.next, e.next.prev = e.next, e.prev
+		if e.b[e.key] == e {
+			e.b[e.key] = e.next
 		}
 	}
-	sh.bytes -= e.size
+	e.prev, e.next = nil, nil
+	sh.bytes -= e.t.Size()
 	if e.index >= 0 {
 		heap.Remove(&sh.expiry, e.index)
 	}
@@ -920,20 +981,28 @@ func (h *expiryHeap) Pop() any {
 	return e
 }
 
-// scheduleJanitorLocked arms a timer for the shard's earliest expiry.
-// Caller holds sh.mu.
-func (sh *shard) scheduleJanitorLocked() {
-	if sh.stopJan != nil {
-		sh.stopJan()
-		sh.stopJan = nil
-	}
+// armJanitorLocked makes the janitor timer fire by the expiry heap's
+// head. A pending timer that fires no later than the head is kept, so an
+// insert that does not become the earliest expiry arms nothing. Caller
+// holds sh.mu.
+func (sh *shard) armJanitorLocked() {
 	if sh.closed || len(sh.expiry) == 0 {
 		return
 	}
-	d := sh.expiry[0].expiry.Sub(sh.st.clk.Now())
-	if d < 0 {
-		d = 0
+	head := sh.expiry[0].expiry
+	if sh.stopJan != nil {
+		if !head.Before(sh.janAt) {
+			return
+		}
+		sh.stopJan()
 	}
+	d := head.Sub(sh.st.clk.Now())
+	if d <= 0 {
+		// A virtual clock runs a non-positive AfterFunc synchronously,
+		// which would re-enter sh.mu.
+		d = time.Nanosecond
+	}
+	sh.janAt = head
 	sh.stopJan = sh.st.clk.AfterFunc(d, sh.reclaim)
 }
 
@@ -957,8 +1026,13 @@ func (sh *shard) reclaim() {
 		s.met.Inc(trace.CtrTuplesReclaimed)
 		reclaimed = append(reclaimed, e.id)
 	}
-	sh.stopJan = nil
-	sh.scheduleJanitorLocked()
+	// The pending timer is this one, or one armed while this callback
+	// waited for the lock; stop it so at most one stays pending.
+	if sh.stopJan != nil {
+		sh.stopJan()
+		sh.stopJan = nil
+	}
+	sh.armJanitorLocked()
 }
 
 // Reclaimed reports how many tuples the janitor has reclaimed (test aid).

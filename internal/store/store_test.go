@@ -3,6 +3,7 @@ package store
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -81,6 +82,26 @@ func TestNondeterministicSelectionCoversAll(t *testing.T) {
 	}
 	if len(seen) < 3 {
 		t.Fatalf("selection not spread across matches: saw %v", seen)
+	}
+
+	// Same-key duplicates share one chain of the key-field index, longer
+	// than the candidate cap: the walk must not always sample the same
+	// window and starve the rest.
+	const dups = 3 * maxCandidates
+	for i := int64(0); i < dups; i++ {
+		s.Out(tuple.T(tuple.String("dup"), tuple.Int(7), tuple.Int(i)), never())
+	}
+	dupSeen := map[int64]bool{}
+	for i := 0; i < 50*dups; i++ {
+		got, ok := s.Rdp(tuple.Tmpl(tuple.String("dup"), tuple.Int(7), tuple.FormalInt()))
+		if !ok {
+			t.Fatal("no match among duplicates")
+		}
+		v, _ := got.IntAt(2)
+		dupSeen[v] = true
+	}
+	if len(dupSeen) != dups {
+		t.Fatalf("same-key selection saw %d of %d duplicates", len(dupSeen), dups)
 	}
 }
 
@@ -253,6 +274,85 @@ func TestLeaseExpiryReclaims(t *testing.T) {
 	clk.Advance(time.Hour)
 	if s.Count() != 1 {
 		t.Fatal("never-expiring tuple reclaimed")
+	}
+}
+
+// armCounter is a virtual clock that counts the timers armed on it.
+type armCounter struct {
+	*clock.Virtual
+	armed atomic.Int64
+}
+
+func (c *armCounter) AfterFunc(d time.Duration, f func()) func() bool {
+	c.armed.Add(1)
+	return c.Virtual.AfterFunc(d, f)
+}
+
+// The janitor reclaims every tuple at its own expiry however earlier and
+// later expiries interleave, including inserts made while it runs. An
+// insert that does not become the shard's earliest expiry arms no timer.
+func TestJanitorInterleavedExpiries(t *testing.T) {
+	clk := &armCounter{Virtual: clock.NewVirtual(epoch)}
+	s := New(WithClock(clk), WithShards(1))
+	defer s.Close()
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	// Insert instants and lifetimes, in insert order.
+	type out struct{ at, life int }
+	outs := []out{
+		{0, 10000}, {0, 5000}, {0, 20000}, {0, 1000}, {0, 15000}, {0, 7000}, {0, 30000}, {0, 3000},
+		{2000, 500}, {2000, 23000}, {4500, 1500}, {6000, 100}, {6000, 24000},
+	}
+	for i, o := range outs {
+		if o.at == 0 {
+			s.Out(req(int64(i)), epoch.Add(ms(o.life)))
+		}
+	}
+	// Only the 10s, 5s and 1s inserts were a new earliest expiry.
+	if n := clk.armed.Load(); n != 3 {
+		t.Fatalf("initial inserts armed %d timers, want 3", n)
+	}
+	for now := 100; now <= 31000; now += 100 {
+		clk.AdvanceTo(epoch.Add(ms(now)))
+		live := 0
+		for i, o := range outs {
+			if o.at == now && o.at > 0 {
+				s.Out(req(int64(i)), epoch.Add(ms(o.at+o.life)))
+			}
+			if o.at <= now && o.at+o.life > now {
+				live++
+			}
+		}
+		if got := s.Count(); got != live {
+			t.Fatalf("at %dms: %d tuples stored, want %d", now, got, live)
+		}
+	}
+	if got := s.Reclaimed(); got != int64(len(outs)) {
+		t.Fatalf("Reclaimed = %d, want %d", got, len(outs))
+	}
+	if clk.Pending() != 0 {
+		t.Fatalf("%d janitor timers left pending", clk.Pending())
+	}
+}
+
+// A tuple stored with an expiry already past, as when a hold is released
+// after its tuple's lease ran out, is invisible and reclaimed on the next
+// tick; arming its janitor must not re-enter the shard lock.
+func TestOutAlreadyExpiredIsReclaimed(t *testing.T) {
+	s, clk := newTest()
+	defer s.Close()
+	s.Out(req(1), epoch.Add(time.Second))
+	h, ok := s.Hold(reqTmpl())
+	if !ok {
+		t.Fatal("hold failed")
+	}
+	clk.Advance(2 * time.Second)
+	h.Release()
+	if _, ok := s.Rdp(reqTmpl()); ok {
+		t.Fatal("expired tuple visible after release")
+	}
+	clk.Advance(time.Millisecond)
+	if s.Count() != 0 || s.Reclaimed() != 1 {
+		t.Fatalf("count %d, reclaimed %d after the janitor tick", s.Count(), s.Reclaimed())
 	}
 }
 
@@ -489,7 +589,8 @@ func TestTagIndexCorrectAcrossMixedTags(t *testing.T) {
 	} else if v, _ := got.IntAt(1); v != 1 {
 		t.Fatalf("wrong tuple: %v", got)
 	}
-	// A formal lead falls back to the arity index and can see everything.
+	// A formal lead walks the same-arity buckets of every shard and can
+	// see everything.
 	seen := map[int64]bool{}
 	for i := 0; i < 100; i++ {
 		got, ok := s.Rdp(tuple.Tmpl(tuple.Any(), tuple.FormalInt()))

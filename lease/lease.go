@@ -8,6 +8,7 @@
 package lease
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 	"sync"
@@ -137,6 +138,9 @@ type Lease struct {
 	// expiry timers fire this long after the nominal deadline.
 	skew time.Duration
 	id   uint64
+	// hidx is the lease's position in the manager's expiry heap, -1 once
+	// it has left it. Guarded by mgr.mu, not mu.
+	hidx int
 
 	mu          sync.Mutex
 	state       State
@@ -297,13 +301,14 @@ func (l *Lease) ShrinkDuration(d time.Duration) bool {
 	}
 	l.deadline = nd
 	l.mu.Unlock()
-	// The original (later) heap entry becomes stale: the earlier one fires
-	// first, finishes the lease, and the old entry is skipped when it
-	// surfaces.
+	// Move the lease's heap entry forward. An entry already popped as due
+	// (or dropped by Close) is finishing anyway.
 	m := l.mgr
 	m.mu.Lock()
-	if !m.closed {
-		m.scheduleExpiryLocked(l, nd.Add(l.skew), m.clk.Now())
+	if l.hidx >= 0 {
+		m.expiries[l.hidx].at = nd.Add(l.skew)
+		heap.Fix(&m.expiries, l.hidx)
+		m.armExpiryLocked(m.clk.Now())
 	}
 	m.mu.Unlock()
 	return true

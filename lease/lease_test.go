@@ -2,6 +2,7 @@ package lease
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -335,6 +336,64 @@ func TestConcurrentGrantCancel(t *testing.T) {
 	}
 	if s.Granted != s.Cancelled+s.Expired {
 		t.Fatalf("accounting mismatch: %+v", s)
+	}
+}
+
+// The expiry heap holds exactly the active leases: a cancelled lease
+// leaves it at once, so a grant/cancel-heavy workload keeps it at the
+// active count instead of accumulating entries for the lease duration.
+func TestExpiryHeapIsActiveSet(t *testing.T) {
+	m, clk := newTestManager(DefaultCapacity())
+	rng := rand.New(rand.NewSource(7))
+	check := func(step int) {
+		t.Helper()
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if len(m.expiries) != m.nActive {
+			t.Fatalf("step %d: heap holds %d entries, %d leases active", step, len(m.expiries), m.nActive)
+		}
+		for i, e := range m.expiries {
+			if e.l.hidx != i {
+				t.Fatalf("step %d: entry %d records index %d", step, i, e.l.hidx)
+			}
+		}
+	}
+	var live []*Lease
+	for step := 0; step < 5000; step++ {
+		switch {
+		case len(live) < 20 || rng.Intn(3) == 0:
+			d := time.Duration(1+rng.Intn(60)) * time.Second
+			l, err := m.Grant(OpOut, Flexible(Terms{Duration: d, MaxBytes: 8}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, l)
+		case rng.Intn(4) == 0:
+			live[rng.Intn(len(live))].ShrinkDuration(time.Duration(rng.Intn(30)) * time.Second)
+		default:
+			k := rng.Intn(len(live))
+			live[k].Cancel()
+			live = append(live[:k], live[k+1:]...)
+		}
+		if step%97 == 0 {
+			clk.Advance(time.Second)
+			kept := live[:0]
+			for _, l := range live {
+				if l.State() == StateActive {
+					kept = append(kept, l)
+				}
+			}
+			live = kept
+		}
+		check(step)
+	}
+	if s := m.Stats(); s.Active != len(live) || s.Granted != uint64(s.Active)+s.Cancelled+s.Expired {
+		t.Fatalf("stats %+v with %d live leases", s, len(live))
+	}
+	clk.Advance(time.Hour)
+	check(-1)
+	if s := m.Stats(); s.Active != 0 || s.BytesHeld != 0 || clk.Pending() != 0 {
+		t.Fatalf("after expiry: %+v, %d timers pending", s, clk.Pending())
 	}
 }
 

@@ -83,7 +83,7 @@ type Manager struct {
 	cap       Capacity
 	closed    bool
 	nextID    uint64
-	active    map[uint64]*Lease
+	nActive   int
 	bytesHeld int64
 	onRevoke  RevokeFunc
 	stats     Stats
@@ -92,8 +92,8 @@ type Manager struct {
 	// Expiry is driven by one shared timer over a deadline heap instead of
 	// one runtime timer per lease: grants are the hot path (three per
 	// remote op) and the per-grant AfterFunc was a measurable slice of its
-	// allocations. Entries for cancelled leases are skipped lazily when
-	// they surface at the head.
+	// allocations. The heap holds exactly the active leases that have not
+	// yet come due: a lease leaves it when it finishes, through its index.
 	expiries expHeap
 	expStop  func() bool // stops the armed shared timer, nil when unarmed
 	expAt    time.Time   // fire time of the armed shared timer
@@ -108,15 +108,23 @@ type expEntry struct {
 
 type expHeap []expEntry
 
-func (h expHeap) Len() int            { return len(h) }
-func (h expHeap) Less(i, j int) bool  { return h[i].at.Before(h[j].at) }
-func (h expHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *expHeap) Push(x any)         { *h = append(*h, x.(expEntry)) }
+func (h expHeap) Len() int           { return len(h) }
+func (h expHeap) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
+func (h expHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].l.hidx, h[j].l.hidx = i, j
+}
+func (h *expHeap) Push(x any) {
+	e := x.(expEntry)
+	e.l.hidx = len(*h)
+	*h = append(*h, e)
+}
 func (h *expHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = expEntry{}
+	e.l.hidx = -1
 	*h = old[:n-1]
 	return e
 }
@@ -130,7 +138,6 @@ func NewManager(cap Capacity, clk clock.Clock) *Manager {
 	return &Manager{
 		clk:       clk,
 		cap:       cap,
-		active:    make(map[uint64]*Lease),
 		factories: make(map[ResourceKind]*factory),
 	}
 }
@@ -167,7 +174,7 @@ func (m *Manager) Offer(op OpKind, proposed Terms) Terms {
 }
 
 func (m *Manager) offerLocked(op OpKind, p Terms) Terms {
-	if m.closed || len(m.active) >= m.cap.MaxActive {
+	if m.closed || m.nActive >= m.cap.MaxActive {
 		return Terms{}
 	}
 	o := Terms{Duration: p.Duration, MaxRemotes: p.MaxRemotes, MaxBytes: p.MaxBytes}
@@ -276,34 +283,19 @@ func (m *Manager) grantLocked(op OpKind, offer Terms) *Lease {
 		state:       StateActive,
 		remotesLeft: offer.MaxRemotes,
 	}
-	m.active[l.id] = l
+	m.nActive++
 	m.bytesHeld += offer.MaxBytes
 	m.stats.Granted++
 	// Enforcement runs SkewBand behind the promise (clock-skew guard).
-	m.scheduleExpiryLocked(l, l.deadline.Add(l.skew), now)
-	return l
-}
-
-// scheduleExpiryLocked queues an expiry check for l at the given instant
-// and re-arms the shared timer if this became the earliest deadline.
-// Caller holds m.mu.
-func (m *Manager) scheduleExpiryLocked(l *Lease, at, now time.Time) {
-	heap.Push(&m.expiries, expEntry{at: at, l: l})
+	heap.Push(&m.expiries, expEntry{at: l.deadline.Add(l.skew), l: l})
 	m.armExpiryLocked(now)
+	return l
 }
 
 // armExpiryLocked points the shared timer at the heap head. Caller holds
 // m.mu. The delay is clamped to a strictly positive value so a virtual
 // clock never runs the callback synchronously under the lock.
 func (m *Manager) armExpiryLocked(now time.Time) {
-	// Drop stale heads (already-released leases) so the timer always
-	// points at a live deadline — and disarms entirely when none remain.
-	for len(m.expiries) > 0 {
-		if _, ok := m.active[m.expiries[0].l.id]; ok {
-			break
-		}
-		heap.Pop(&m.expiries)
-	}
 	if len(m.expiries) == 0 {
 		if m.expStop != nil {
 			m.expStop()
@@ -327,18 +319,14 @@ func (m *Manager) armExpiryLocked(now time.Time) {
 }
 
 // fireExpiries is the shared-timer callback: it expires every lease whose
-// enforcement instant has passed and re-arms for the next head. Stale
-// entries (leases already released) are discarded as they surface.
+// enforcement instant has passed and re-arms for the next head.
 func (m *Manager) fireExpiries() {
 	m.mu.Lock()
 	m.expStop = nil
 	now := m.clk.Now()
 	var due []*Lease
 	for len(m.expiries) > 0 && !m.expiries[0].at.After(now) {
-		e := heap.Pop(&m.expiries).(expEntry)
-		if _, ok := m.active[e.l.id]; ok {
-			due = append(due, e.l)
-		}
+		due = append(due, heap.Pop(&m.expiries).(expEntry).l)
 	}
 	m.armExpiryLocked(now)
 	m.mu.Unlock()
@@ -351,29 +339,18 @@ func (m *Manager) fireExpiries() {
 func (m *Manager) release(l *Lease, s State) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.active[l.id]; !ok {
-		return
-	}
-	delete(m.active, l.id)
+	m.nActive--
 	m.bytesHeld -= l.terms.MaxBytes
-	// Cancelled leases leave stale entries in the expiry heap (they are
-	// skipped when they surface). Compact when stale entries dominate so
-	// a cancel-heavy workload does not accumulate heap memory for the
-	// full nominal lease duration.
-	if len(m.expiries) > 64 && len(m.expiries) > 4*len(m.active) {
-		live := m.expiries[:0]
-		for _, e := range m.expiries {
-			if _, ok := m.active[e.l.id]; ok {
-				live = append(live, e)
-			}
+	// A lease popped by fireExpiries or dropped by Close has index -1.
+	if l.hidx >= 0 {
+		heap.Remove(&m.expiries, l.hidx)
+		// The armed timer fires no later than the new head; it re-arms
+		// then. Only an emptied heap needs it stopped.
+		if len(m.expiries) == 0 && m.expStop != nil {
+			m.expStop()
+			m.expStop = nil
 		}
-		for i := len(live); i < len(m.expiries); i++ {
-			m.expiries[i] = expEntry{}
-		}
-		m.expiries = live
-		heap.Init(&m.expiries)
 	}
-	m.armExpiryLocked(m.clk.Now())
 	switch s {
 	case StateExpired:
 		m.stats.Expired++
@@ -396,7 +373,7 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.stats
-	s.Active = len(m.active)
+	s.Active = m.nActive
 	s.BytesHeld = m.bytesHeld
 	return s
 }
@@ -406,16 +383,22 @@ func (m *Manager) Stats() Stats {
 // under each lease's lock — ShrinkDuration may move them concurrently.
 func (m *Manager) ActiveLeases() []*Lease {
 	m.mu.Lock()
-	ls := make([]*Lease, 0, len(m.active))
-	for _, l := range m.active {
-		ls = append(ls, l)
-	}
+	ls := m.leasesLocked()
 	m.mu.Unlock()
 	deadlines := make([]time.Time, len(ls))
 	for i, l := range ls {
 		deadlines[i] = l.Deadline()
 	}
 	sort.Sort(&byDeadline{ls: ls, at: deadlines})
+	return ls
+}
+
+// leasesLocked lists the leases in the expiry heap. Caller holds m.mu.
+func (m *Manager) leasesLocked() []*Lease {
+	ls := make([]*Lease, len(m.expiries))
+	for i, e := range m.expiries {
+		ls[i] = e.l
+	}
 	return ls
 }
 
@@ -497,11 +480,11 @@ func (m *Manager) Close() {
 		m.expStop()
 		m.expStop = nil
 	}
-	m.expiries = nil
-	ls := make([]*Lease, 0, len(m.active))
-	for _, l := range m.active {
-		ls = append(ls, l)
+	ls := m.leasesLocked()
+	for _, l := range ls {
+		l.hidx = -1
 	}
+	m.expiries = nil
 	m.mu.Unlock()
 	for _, l := range ls {
 		l.finish(StateCancelled)

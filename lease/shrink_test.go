@@ -83,6 +83,11 @@ func TestShrinkDurationReArmsExpiry(t *testing.T) {
 	if clk.Pending() != 0 {
 		t.Fatalf("timer leaked: %d pending", clk.Pending())
 	}
+	// The original deadline passing expires nothing a second time.
+	clk.Advance(10 * time.Second)
+	if s := m.Stats(); s.Expired != 1 || s.Active != 0 {
+		t.Fatalf("stats after the original deadline: %+v", s)
+	}
 }
 
 func TestShrinkRemotesClamps(t *testing.T) {

@@ -5,6 +5,7 @@ package naive
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -120,16 +121,81 @@ func TestNaiveRemoveAndClose(t *testing.T) {
 	w2.Cancel()
 }
 
+// keyPool returns the k'th key field of kind kind%5. The pools hold values
+// that are equal under matching but differ in representation (±0, NaN
+// payloads), so a hash index that keys on raw bits loses matches.
+func keyPool(kind, k uint8) tuple.Field {
+	switch kind % 5 {
+	case 0:
+		return tuple.Int([]int64{0, 1, -1, 42}[k%4])
+	case 1:
+		return tuple.String([]string{"", "a", "b", "ab"}[k%4])
+	case 2:
+		return tuple.Bool(k%2 == 0)
+	case 3:
+		return tuple.Bytes([][]byte{nil, []byte("a"), []byte("b"), []byte("ab")}[k%4])
+	default:
+		return tuple.Float([]float64{0, math.Copysign(0, -1), math.NaN(),
+			math.Float64frombits(0x7ff8000000000abc), 1.5}[k%5])
+	}
+}
+
+// formalOf returns the typed formal matching f's kind.
+func formalOf(f tuple.Field) tuple.Field {
+	switch f.Kind() {
+	case tuple.KindInt:
+		return tuple.FormalInt()
+	case tuple.KindString:
+		return tuple.FormalString()
+	case tuple.KindBool:
+		return tuple.FormalBool()
+	case tuple.KindBytes:
+		return tuple.FormalBytes()
+	default:
+		return tuple.FormalFloat()
+	}
+}
+
 // TestPropDifferentialAgainstStore runs identical random operation
 // sequences against the naive space and the optimised store; both must
-// agree on every observable (found/not-found, count) at every step.
+// agree on every observable (found/not-found, count) at every step, and
+// every returned tuple must match its template.
+//
+// Tuples cover both shard kinds and every key-field kind: ("k", key, n)
+// in a tag shard, (key, n) in the scan shard (or, for a string key, under
+// tag key), and the tag-only ("solo"). Templates pin the key field with
+// an actual, leave it formal or Any, or lead with a formal. n is unique
+// per Out, so when one space (the chooser, alternating) takes a tuple
+// the other can take exactly the same one; only the interchangeable
+// ("solo") tuples repeat.
 func TestPropDifferentialAgainstStore(t *testing.T) {
 	type op struct {
-		Kind uint8
-		Tag  uint8
-		Val  int64
+		Kind, Shape, KeyKind, Key uint8
+		Val                       int64
 	}
-	tags := []string{"a", "b", "c"}
+	template := func(o op) tuple.Template {
+		key := keyPool(o.KeyKind, o.Key)
+		switch o.Shape % 9 {
+		case 0:
+			return tuple.Tmpl(tuple.String("k"), key, tuple.FormalInt())
+		case 1:
+			return tuple.Tmpl(tuple.String("k"), formalOf(key), tuple.FormalInt())
+		case 2:
+			return tuple.Tmpl(tuple.String("k"), tuple.Any(), tuple.FormalInt())
+		case 3:
+			return tuple.Tmpl(tuple.FormalString(), key, tuple.FormalInt())
+		case 4:
+			return tuple.Tmpl(tuple.Any(), tuple.Any(), tuple.FormalInt())
+		case 5:
+			return tuple.Tmpl(key, tuple.FormalInt())
+		case 6:
+			return tuple.Tmpl(formalOf(key), tuple.FormalInt())
+		case 7:
+			return tuple.Tmpl(tuple.String("solo"))
+		default:
+			return tuple.Tmpl(tuple.Any())
+		}
+	}
 	prop := func(ops []op) bool {
 		clkA := clock.NewVirtual(epoch)
 		clkB := clock.NewVirtual(epoch)
@@ -137,41 +203,125 @@ func TestPropDifferentialAgainstStore(t *testing.T) {
 		defer naive.Close()
 		fast := store.New(store.WithClock(clkB), store.WithSeed(1))
 		defer fast.Close()
-		for _, o := range ops {
-			tag := tags[int(o.Tag)%len(tags)]
-			switch o.Kind % 4 {
-			case 0: // out
-				naive.Out(item(tag, o.Val), time.Time{})
-				fast.Out(item(tag, o.Val), time.Time{})
-			case 1: // rdp presence must agree
-				_, okA := naive.Rdp(tmpl(tag))
-				_, okB := fast.Rdp(tmpl(tag))
-				if okA != okB {
+		spaces := [2]space.Space{naive, fast}
+		// ids maps the serial n of each unique Out to its id in each
+		// space. A released hold reinstates its tuple under a new id, so
+		// its serial is forgotten.
+		ids := map[int64][2]uint64{}
+		var serials []int64
+		forget := func(t tuple.Tuple) {
+			if n, err := t.IntAt(t.Arity() - 1); err == nil {
+				delete(ids, n)
+			}
+		}
+		for step, o := range ops {
+			key := keyPool(o.KeyKind, o.Key)
+			serial := tuple.Int(int64(step))
+			chooser := int(o.Val & 1)
+			switch o.Kind % 8 {
+			case 0, 1: // out
+				var tp tuple.Tuple
+				switch o.Shape % 3 {
+				case 0:
+					tp = tuple.T(tuple.String("k"), key, serial)
+				case 1:
+					tp = tuple.T(key, serial)
+				default:
+					tp = tuple.T(tuple.String("solo"))
+				}
+				var expiry time.Time
+				if o.Kind%8 == 1 && o.Shape%3 != 2 {
+					expiry = clkA.Now().Add(time.Duration(1+uint64(o.Val)%3000) * time.Millisecond)
+				}
+				idA, errA := naive.Out(tp, expiry)
+				idB, errB := fast.Out(tp, expiry)
+				if errA != nil || errB != nil {
+					t.Logf("step %d: out %v: %v / %v", step, tp, errA, errB)
 					return false
 				}
-			case 2: // inp presence must agree (values may differ: the
-				// choice among matches is nondeterministic by spec)
-				_, okA := naive.Inp(tmpl(tag))
-				_, okB := fast.Inp(tmpl(tag))
-				if okA != okB {
+				if o.Shape%3 != 2 {
+					ids[int64(step)] = [2]uint64{idA, idB}
+					serials = append(serials, int64(step))
+				}
+			case 2: // rdp: presence agrees, results match
+				p := template(o)
+				gA, okA := naive.Rdp(p)
+				gB, okB := fast.Rdp(p)
+				if okA != okB || (okA && !p.Matches(gA)) || (okB && !p.Matches(gB)) {
+					t.Logf("step %d: rdp %v: naive %v %v, store %v %v", step, p, gA, okA, gB, okB)
 					return false
 				}
-			case 3: // hold+release round trip is observably a no-op
-				if hA, ok := naive.Hold(tmpl(tag)); ok {
-					hA.Release()
+			case 3, 4: // inp, or a hold that is accepted or released
+				p := template(o)
+				var got tuple.Tuple
+				var ok bool
+				if o.Kind%8 == 3 {
+					got, ok = spaces[chooser].Inp(p)
+				} else if h, held := spaces[chooser].Hold(p); held {
+					got, ok = h.Tuple(), true
+					if o.Val&2 != 0 {
+						h.Release()
+						forget(got)
+						ok = false
+						if _, again := spaces[chooser].Rdp(tuple.TemplateOf(got)); !again {
+							t.Logf("step %d: released %v not reinstated", step, got)
+							return false
+						}
+					} else {
+						h.Accept()
+					}
 				}
-				if hB, ok := fast.Hold(tmpl(tag)); ok {
-					hB.Release()
+				if !ok {
+					// Not found (or released): the other space must not
+					// find a match either, unless the release put it back.
+					if _, other := spaces[1-chooser].Rdp(p); other && o.Kind%8 == 3 {
+						t.Logf("step %d: take %v: chooser %d missed a match", step, p, chooser)
+						return false
+					}
+					break
+				}
+				if !p.Matches(got) {
+					t.Logf("step %d: take %v returned %v", step, p, got)
+					return false
+				}
+				if _, exact := spaces[1-chooser].Inp(tuple.TemplateOf(got)); !exact {
+					t.Logf("step %d: %v taken from space %d is absent from the other", step, got, chooser)
+					return false
+				}
+			case 5: // remove by id: presence agrees
+				if len(serials) == 0 {
+					break
+				}
+				id, known := ids[serials[uint64(o.Val)%uint64(len(serials))]]
+				if !known {
+					break
+				}
+				if a, b := naive.Remove(id[0]), fast.Remove(id[1]); a != b {
+					t.Logf("step %d: remove: naive %v, store %v", step, a, b)
+					return false
+				}
+			case 6: // time passes: expiry on both clocks
+				d := time.Duration(uint64(o.Val)%2000) * time.Millisecond
+				clkA.Advance(d)
+				clkB.Advance(d)
+			case 7: // hold+release round trip is observably a no-op
+				p := template(o)
+				for _, sp := range spaces {
+					if h, ok := sp.Hold(p); ok {
+						h.Release()
+						forget(h.Tuple())
+					}
 				}
 			}
-			if naive.Count() != fast.Count() {
+			if a, b := naive.Count(), fast.Count(); a != b {
+				t.Logf("step %d (op %d): count naive %d, store %d", step, o.Kind%8, a, b)
 				return false
 			}
 		}
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{
-		MaxCount: 200,
+		MaxCount: 500,
 		Rand:     rand.New(rand.NewSource(11)),
 	}); err != nil {
 		t.Fatal(err)

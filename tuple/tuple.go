@@ -151,8 +151,10 @@ func (f Field) IntValue() (value int64, ok bool) {
 	return f.i, true
 }
 
-// equalField reports deep equality of two actual fields.
-func equalField(a, b Field) bool {
+// equalField reports deep equality of two actual fields. Fields are
+// passed by pointer: a Field is large, and matching is the store's inner
+// loop.
+func equalField(a, b *Field) bool {
 	if a.kind != b.kind || a.formal != b.formal {
 		return false
 	}
@@ -185,7 +187,7 @@ func equalField(a, b Field) bool {
 			return false
 		}
 		for i := range a.t {
-			if !equalField(a.t[i], b.t[i]) {
+			if !equalField(&a.t[i], &b.t[i]) {
 				return false
 			}
 		}
@@ -196,7 +198,7 @@ func equalField(a, b Field) bool {
 }
 
 // matchField reports whether template field p matches actual field v.
-func matchField(p, v Field) bool {
+func matchField(p, v *Field) bool {
 	if v.formal {
 		return false // tuples never contain formals; defensive
 	}
@@ -391,7 +393,7 @@ func (t Tuple) Equal(o Tuple) bool {
 		return false
 	}
 	for i := range t.fields {
-		if !equalField(t.fields[i], o.fields[i]) {
+		if !equalField(&t.fields[i], &o.fields[i]) {
 			return false
 		}
 	}
@@ -485,7 +487,7 @@ func (p Template) Matches(t Tuple) bool {
 		return false
 	}
 	for i := range p.fields {
-		if !matchField(p.fields[i], t.fields[i]) {
+		if !matchField(&p.fields[i], &t.fields[i]) {
 			return false
 		}
 	}
@@ -519,14 +521,36 @@ func (p Template) String() string {
 // Hash returns a 64-bit FNV-1a hash of the tuple's contents. Equal tuples
 // hash equally; it is used for indexing and deduplication.
 func (t Tuple) Hash() uint64 {
-	h := uint64(14695981039346656037)
-	for _, f := range t.fields {
-		h = hashField(h, f)
+	h := uint64(fnvOffset)
+	for i := range t.fields {
+		h = hashField(h, &t.fields[i])
 	}
 	return h
 }
 
-func hashField(h uint64, f Field) uint64 {
+// FieldHash returns the hash of field i; ok is false when i is out of
+// range. Fields that are equal under matching hash equally, so an index
+// may key on it. It allocates nothing, unlike Field, which copies bytes.
+func (t Tuple) FieldHash(i int) (h uint64, ok bool) {
+	if i < 0 || i >= len(t.fields) {
+		return 0, false
+	}
+	return hashField(fnvOffset, &t.fields[i]), true
+}
+
+// FieldHash returns the hash of actual field i; ok is false for a formal
+// or Any field and when i is out of range. An actual field hashes like
+// every tuple field it matches (see Tuple.FieldHash).
+func (p Template) FieldHash(i int) (h uint64, ok bool) {
+	if i < 0 || i >= len(p.fields) || p.fields[i].formal {
+		return 0, false
+	}
+	return hashField(fnvOffset, &p.fields[i]), true
+}
+
+const fnvOffset = 14695981039346656037
+
+func hashField(h uint64, f *Field) uint64 {
 	const prime = 1099511628211
 	h ^= uint64(f.kind)
 	h *= prime
@@ -535,7 +559,16 @@ func hashField(h uint64, f Field) uint64 {
 		h ^= uint64(f.i)
 		h *= prime
 	case KindFloat:
-		h ^= math.Float64bits(f.f)
+		// Canonicalise what equalField treats as equal: -0 == +0, and
+		// every NaN equals every other.
+		v := f.f
+		switch {
+		case v == 0:
+			v = 0
+		case math.IsNaN(v):
+			v = math.NaN()
+		}
+		h ^= math.Float64bits(v)
 		h *= prime
 	case KindString:
 		for i := 0; i < len(f.s); i++ {
@@ -548,8 +581,8 @@ func hashField(h uint64, f Field) uint64 {
 			h *= prime
 		}
 	case KindTuple:
-		for _, sub := range f.t {
-			h = hashField(h, sub)
+		for i := range f.t {
+			h = hashField(h, &f.t[i])
 		}
 	}
 	return h

@@ -202,6 +202,61 @@ func TestHashEqualTuplesEqualHash(t *testing.T) {
 	if a.Hash() == c.Hash() {
 		t.Error("hash collision on trivially different tuples (suspicious)")
 	}
+	// Floats that compare equal must hash equal: ±0, and NaNs with
+	// different payloads, at top level and nested.
+	nan1 := math.Float64frombits(0x7ff8000000000001)
+	nan2 := math.Float64frombits(0xfff0000000000abc)
+	for _, pair := range [][2]float64{{0, math.Copysign(0, -1)}, {nan1, nan2}} {
+		x := T(Float(pair[0]), Nested(T(Float(pair[0]))))
+		y := T(Float(pair[1]), Nested(T(Float(pair[1]))))
+		if !x.Equal(y) || !TemplateOf(x).Matches(y) {
+			t.Fatalf("%v and %v should be equal", x, y)
+		}
+		if x.Hash() != y.Hash() {
+			t.Errorf("equal tuples %v and %v hash differently", x, y)
+		}
+		for i := 0; i < x.Arity(); i++ {
+			hx, _ := x.FieldHash(i)
+			hy, _ := y.FieldHash(i)
+			hp, ok := TemplateOf(x).FieldHash(i)
+			if hx != hy || !ok || hp != hy {
+				t.Errorf("field %d of %v and %v hashes differently", i, x, y)
+			}
+		}
+	}
+}
+
+func TestFieldHash(t *testing.T) {
+	tp := T(String("k"), Bytes([]byte("key")), Int(7))
+	p := Tmpl(String("k"), Bytes([]byte("key")), FormalInt(), Any())
+	for i := 0; i < 2; i++ {
+		ht, ok1 := tp.FieldHash(i)
+		hp, ok2 := p.FieldHash(i)
+		if !ok1 || !ok2 || ht != hp {
+			t.Errorf("field %d: tuple %x/%v, template %x/%v", i, ht, ok1, hp, ok2)
+		}
+	}
+	if _, ok := p.FieldHash(2); ok {
+		t.Error("formal field has a key hash")
+	}
+	if _, ok := p.FieldHash(3); ok {
+		t.Error("Any field has a key hash")
+	}
+	if _, ok := tp.FieldHash(3); ok {
+		t.Error("out-of-range tuple field has a hash")
+	}
+	if _, ok := p.FieldHash(-1); ok {
+		t.Error("negative template index has a hash")
+	}
+	// Kinds are part of the hash: Int(1) and Bool(true) share a payload.
+	a, _ := T(Int(1)).FieldHash(0)
+	b, _ := T(Bool(true)).FieldHash(0)
+	if a == b {
+		t.Error("int and bool with the same payload hash alike")
+	}
+	if n := testing.AllocsPerRun(100, func() { tp.FieldHash(1); p.FieldHash(1) }); n != 0 {
+		t.Errorf("FieldHash allocates %v times", n)
+	}
 }
 
 func TestSize(t *testing.T) {
